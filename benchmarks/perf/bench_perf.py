@@ -43,8 +43,7 @@ Run from the repo root::
 The JSON also records supporting evidence: the per-task placement-eval
 count (the equivalence-class optimisation keeps it at the number of
 worker classes, not the number of workers), the cancellable ``schedule``
-path's event throughput, the macro-task-mode throughput when the runtime
-supports it, the warm run's hit rate and row equality, and the
+path's event throughput, the warm run's hit rate and row equality, and the
 simulator-engine event counts for the cold and warm fig3 phases — the
 engine work the cache actually saved (truthful for ``--jobs 1``: pool
 workers accumulate engine totals in their own processes).
@@ -81,8 +80,7 @@ def _reference_setup():
     return platform, spec, states, config
 
 
-def _timed_reference_run(platform, spec, states, config, attach=None,
-                         **runtime_kwargs):
+def _timed_reference_run(platform, spec, states, config, attach=None):
     """One reference run; returns ``(wall_seconds, RunResult)``.
 
     Platform and graph construction are deliberately outside the timed
@@ -99,7 +97,7 @@ def _timed_reference_run(platform, spec, states, config, attach=None,
     sim = Simulator()
     node = build_platform(platform, sim)
     node.set_gpu_caps(config.watts(states))
-    runtime = RuntimeSystem(node, scheduler="dmdas", seed=0, **runtime_kwargs)
+    runtime = RuntimeSystem(node, scheduler="dmdas", seed=0)
     graph = spec.build_graph()
     finish = attach(sim, runtime) if attach is not None else None
     t0 = time.perf_counter()
@@ -130,23 +128,6 @@ def bench_runtime(repeats: int) -> dict:
             run_operation(platform, spec, config, states).gflops, 1
         ),
     })
-    # Opt-in macro-task mode (post-refactor engines only): same reference
-    # run with same-worker task chains fused into single engine events.
-    # Excluded from the bit-identity bar, so it is reported separately and
-    # never feeds the replay-audited headline number.
-    try:
-        macro_walls = [
-            _timed_reference_run(
-                platform, spec, states, config, macro_tasks=True
-            )[0]
-            for _ in range(repeats)
-        ]
-    except TypeError:  # pre-refactor RuntimeSystem: no macro_tasks kwarg
-        pass
-    else:
-        payload.update(
-            _spread("runtime_macro_tasks_per_sec", macro_walls, result.n_tasks)
-        )
     return payload
 
 

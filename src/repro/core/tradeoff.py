@@ -9,6 +9,7 @@ as the paper does.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -19,6 +20,7 @@ from repro.hardware.catalog import build_platform
 from repro.linalg import assign_priorities, gemm_graph, potrf_graph
 from repro.obs import spans as _spans
 from repro.runtime import RuntimeSystem
+from repro.runtime.graph import GraphTemplate, TaskGraph
 from repro.sim import Simulator, Tracer
 
 OPERATIONS = ("gemm", "potrf")
@@ -43,7 +45,20 @@ class OperationSpec:
     def nt(self) -> int:
         return self.n // self.nb
 
-    def build_graph(self):
+    def build_graph(self) -> TaskGraph:
+        """A fresh, prioritised task graph of this operation.
+
+        Instantiated from a DAG template (see :class:`_TemplateSlot`):
+        identical to :meth:`build_fresh_graph` task for task (tids, ops,
+        labels, accesses, successors, dependency counts, priorities,
+        handle order) without re-running hazard inference and priority
+        assignment.  Task payloads are empty; see
+        :class:`~repro.runtime.graph.GraphTemplate`.
+        """
+        return _TEMPLATES.instantiate(self)
+
+    def build_fresh_graph(self) -> TaskGraph:
+        """The graph built from scratch: hazard inference plus priorities."""
         if self.op == "gemm":
             graph, *_ = gemm_graph(self.n, self.nb, self.precision)
         else:
@@ -53,6 +68,44 @@ class OperationSpec:
 
     def __str__(self) -> str:  # pragma: no cover
         return f"{self.op}-{self.precision} N={self.n} Nt={self.nb}"
+
+
+class _TemplateSlot:
+    """Single-entry, thread-safe DAG template cache keyed on the spec.
+
+    Every ladder (Figs 3/4, Tables I/II, advisor shards) runs one spec's
+    configurations back to back, so one entry serves the repeats, and at
+    most one template is ever alive: the old one is dropped before the next
+    spec's fresh build.  A miss hands out that fresh graph, stripped to
+    what an instance carries.  A spec is a frozen value, so an entry never
+    goes stale; it is only replaced.  Templates are immutable, so the lock
+    only guards swapping the entry and instantiation runs outside it; two
+    threads that miss at once both record, and the last template stays.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entry: Optional[tuple[OperationSpec, GraphTemplate]] = None
+
+    def instantiate(self, spec: OperationSpec) -> TaskGraph:
+        with self._lock:
+            entry = self._entry
+        if entry is not None and entry[0] == spec:
+            return entry[1].instantiate()
+        with self._lock:
+            self._entry = None
+        graph = spec.build_fresh_graph()
+        template = GraphTemplate(graph)
+        with self._lock:
+            self._entry = (spec, template)
+        return GraphTemplate.strip(graph)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entry = None
+
+
+_TEMPLATES = _TemplateSlot()
 
 
 def run_operation(

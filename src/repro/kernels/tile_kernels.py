@@ -63,6 +63,32 @@ GPU_SUPPORTED = {
 CPU_TASK_OVERHEAD_S = 8e-6
 
 
+#: Flop-count coefficient of ``nb**3`` for the cubic kinds.
+_CUBES = {
+    "gemm": 2.0,
+    "trsm": 1.0,
+    "potrf": 1.0 / 3.0,
+    "getrf": 2.0 / 3.0,
+    "geqrt": 4.0 / 3.0,
+    "ormqr": 2.0,
+    "tsqrt": 10.0 / 3.0,
+    "tsmqr": 4.0,  # dominant QR update: total ~ (4/3) N^3
+}
+
+#: Distinct GPU specs one op memoises ``activity`` for before starting over.
+_ACTIVITY_MEMO_SIZE = 8
+
+
+def _tile_flops(kind: str, nb: int) -> float:
+    """Flop count of one ``kind`` kernel on ``nb x nb`` tiles."""
+    n = float(nb)
+    if kind == "syrk":
+        return n**2 * (n + 1.0)
+    if kind == "stencil":
+        return 5.0 * n**2  # 5-point update: 4 adds + 1 multiply per point
+    return _CUBES[kind] * n**3
+
+
 @dataclass(frozen=True)
 class TileOp:
     """One tile task: a ``kind`` kernel on ``nb x nb`` tiles."""
@@ -77,11 +103,14 @@ class TileOp:
         if self.nb <= 0:
             raise ValueError("tile size must be positive")
         dtype_bytes(self.precision)
-        # Ops are immutable and keyed constantly on the scheduler hot path;
-        # precompute the identity tuple (also the perf-model key) and hash.
+        # Ops are immutable and read constantly on the simulator hot path;
+        # precompute the identity tuple (also the perf-model key), the hash
+        # and the flop count, and give each op its own activity memo.
         key = (self.kind, self.nb, self.precision)
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "flops", _tile_flops(self.kind, self.nb))
+        object.__setattr__(self, "_activity", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -92,25 +121,6 @@ class TileOp:
     def runs_on_gpu(self) -> bool:
         """Whether a CUDA codelet exists for this kind."""
         return GPU_SUPPORTED[self.kind]
-
-    @property
-    def flops(self) -> float:
-        nb = float(self.nb)
-        cubes = {
-            "gemm": 2.0,
-            "trsm": 1.0,
-            "potrf": 1.0 / 3.0,
-            "getrf": 2.0 / 3.0,
-            "geqrt": 4.0 / 3.0,
-            "ormqr": 2.0,
-            "tsqrt": 10.0 / 3.0,
-            "tsmqr": 4.0,  # dominant QR update: total ~ (4/3) N^3
-        }
-        if self.kind == "syrk":
-            return nb**2 * (nb + 1.0)
-        if self.kind == "stencil":
-            return 5.0 * nb**2  # 5-point update: 4 adds + 1 multiply per point
-        return cubes[self.kind] * nb**3
 
     @property
     def n_tiles_touched(self) -> int:
@@ -130,9 +140,22 @@ class TileOp:
         return float(self.n_tiles_touched * self.tile_bytes)
 
     def activity(self, gpu_spec) -> float:
-        """Power-activity factor on a GPU."""
+        """Power-activity factor on a GPU.
+
+        Pure in (op, spec), and specs are frozen, so the value is memoised
+        per spec object.  The memo is keyed by identity and holds the spec
+        itself, so a recycled ``id`` can never alias a different spec.
+        """
+        memo = self._activity
+        entry = memo.get(id(gpu_spec))
+        if entry is not None and entry[0] is gpu_spec:
+            return entry[1]
         base = GemmKernel.square(self.nb, self.precision).activity(gpu_spec)
-        return max(0.05, base * _ACTIVITY[self.kind])
+        value = max(0.05, base * _ACTIVITY[self.kind])
+        if len(memo) >= _ACTIVITY_MEMO_SIZE:
+            memo.clear()  # ad-hoc specs (sweeps, tests) must not pile up
+        memo[id(gpu_spec)] = (gpu_spec, value)
+        return value
 
     # ------------------------------------------------------------- durations
 

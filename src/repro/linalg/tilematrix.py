@@ -59,10 +59,11 @@ class TileMatrix:
 
     def handle(self, i: int, j: int) -> DataHandle:
         """The data handle of tile (i, j), created on first use."""
-        self._check_index(i, j)
         key = (i, j)
         h = self._handles.get(key)
         if h is None:
+            # Only checked indices are ever stored, so a hit needs no check.
+            self._check_index(i, j)
             h = DataHandle(self._tile_bytes, label=f"{self.label}[{i},{j}]")
             self._handles[key] = h
         return h

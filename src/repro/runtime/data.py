@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -43,6 +42,10 @@ class AccessMode(Enum):
         self.reads: bool = value != "W"
         self.writes: bool = value != "R"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is exact (Enum's default hashes the name in Python code).
+    __hash__ = object.__hash__
+
 
 class CoherenceError(RuntimeError):
     """Raised when the MSI invariants are violated."""
@@ -51,32 +54,47 @@ class CoherenceError(RuntimeError):
 _handle_ids = itertools.count()
 
 
-@dataclass(eq=False)
 class DataHandle:
-    """One logical data block registered with the runtime."""
+    """One logical data block registered with the runtime.
 
-    nbytes: int
-    label: str = ""
-    home_node: int = MEM_HOST
-    hid: int = field(default_factory=lambda: next(_handle_ids))
-    valid_nodes: set[int] = field(default_factory=set)
-    owner: Optional[int] = None  # node holding the sole dirty replica
+    Replica state is flat, after the per-copy MSI arrays of Parla's
+    ``Coherence``: ``valid_mask`` has bit ``n`` set when memory node ``n``
+    holds a valid replica, and ``owner`` is the node holding the sole dirty
+    replica (``None`` when clean).  Handles compare and hash by identity
+    with the C-level ``object.__hash__``: every residency, pin and arrival
+    dict on the data hot path is keyed by handle.
+    """
 
-    def __post_init__(self) -> None:
-        if self.nbytes <= 0:
+    __slots__ = ("nbytes", "label", "home_node", "hid", "valid_mask", "owner")
+
+    def __init__(self, nbytes: int, label: str = "", home_node: int = MEM_HOST) -> None:
+        if nbytes <= 0:
             raise ValueError("handle size must be positive")
-        if not self.valid_nodes:
-            self.valid_nodes = {self.home_node}
+        self.nbytes = nbytes
+        self.label = label
+        self.home_node = home_node
+        self.hid = next(_handle_ids)
+        self.valid_mask = 1 << home_node
+        self.owner: Optional[int] = None
 
-    def __hash__(self) -> int:
-        return self.hid
+    @property
+    def valid_nodes(self) -> frozenset[int]:
+        """Read-only view of the nodes holding a valid replica."""
+        valid = self.valid_mask
+        return frozenset(n for n in range(valid.bit_length()) if valid >> n & 1)
+
+    @valid_nodes.setter
+    def valid_nodes(self, nodes: Iterable[int]) -> None:
+        self.valid_mask = sum(1 << n for n in set(nodes))
 
     def check_invariants(self) -> None:
-        if not self.valid_nodes:
+        valid = self.valid_mask
+        if not valid:
             raise CoherenceError(f"{self}: no valid replica anywhere")
-        if self.owner is not None and self.valid_nodes != {self.owner}:
+        owner = self.owner
+        if owner is not None and valid != 1 << owner:
             raise CoherenceError(
-                f"{self}: dirty on node {self.owner} but valid on {self.valid_nodes}"
+                f"{self}: dirty on node {owner} but valid on {self.valid_nodes}"
             )
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -117,12 +135,11 @@ class MemoryManager:
         self._pinned[handle] = count + 1
 
     def unpin(self, handle: DataHandle) -> None:
-        count = self._pinned.get(handle, 0)
-        if count <= 1:
-            if self._pinned.pop(handle, None) is not None:
-                self.pinned_bytes -= handle.nbytes
-        else:
+        count = self._pinned.pop(handle, 0)
+        if count > 1:
             self._pinned[handle] = count - 1
+        elif count:
+            self.pinned_bytes -= handle.nbytes
 
     def add(self, handle: DataHandle) -> list[DataHandle]:
         """Make ``handle`` resident; returns the handles evicted to fit it.
@@ -192,8 +209,10 @@ class DataManager:
         # Estimate-memo traffic, exported by the observability layer.
         self.n_memo_hits = 0
         self.n_memo_misses = 0
-        # Arrival times of in-flight replicas: (handle id, node) -> abs time.
-        self._arrival: dict[tuple[int, int], float] = {}
+        # Arrival times of in-flight replicas: (handle, node) -> abs time.
+        self._arrival: dict[tuple[DataHandle, int], float] = {}
+        # transfer_estimates' per-target bits, keyed by the targets tuple.
+        self._target_bits: dict[tuple[int, ...], tuple] = {}
         # Scoped memo for transfer_estimate; active only inside
         # estimate_cache() windows (one scheduling decision).
         self._estimate_memo: Optional[dict] = None
@@ -237,8 +256,9 @@ class DataManager:
                 return cached
             self.n_memo_misses += 1
         total = 0.0
+        tbit = 1 << target
         for handle, mode in handles:
-            if not mode.reads or target in handle.valid_nodes:
+            if not mode.reads or handle.valid_mask & tbit:
                 continue
             source = self._pick_source(handle)
             total += self._path_estimate(source, target, handle.nbytes)
@@ -262,24 +282,35 @@ class DataManager:
         are bit-identical.
         """
         totals = dict.fromkeys(targets, 0.0)
+        key = targets if type(targets) is tuple else tuple(targets)
+        bits = self._target_bits.get(key)
+        if bits is None:
+            bits = self._target_bits[key] = (
+                tuple((t, 1 << t) for t in targets), sum(1 << t for t in set(targets)),
+            )
+        target_bits, all_bits = bits
         now = self.node.clock.now
         links = self._links
         for handle, mode in handles:
             if not mode.reads:
                 continue
-            valid = handle.valid_nodes
-            missing = [t for t in targets if t not in valid]
-            if not missing:
+            valid = handle.valid_mask
+            if valid & all_bits == all_bits:
                 continue
             nbytes = handle.nbytes
-            source = self._pick_source(handle)
+            # Inlined _pick_source.
+            source = handle.owner
+            if source is None:
+                source = MEM_HOST if valid & 1 else (valid & -valid).bit_length() - 1
             if source != MEM_HOST:
                 link = links[source]
                 avail = link._avail_at["d2h"]
                 d2h = (avail - now if avail > now else 0.0) + link._transfer_time(nbytes)
             else:
                 d2h = 0.0
-            for t in missing:
+            for t, bit in target_bits:
+                if valid & bit:
+                    continue
                 if t != MEM_HOST:
                     link = links[t]
                     avail = link._avail_at["h2d"]
@@ -311,12 +342,15 @@ class DataManager:
 
     # ------------------------------------------------------------ operations
 
-    def _pick_source(self, handle: DataHandle) -> int:
+    @staticmethod
+    def _pick_source(handle: DataHandle) -> int:
+        """The dirty owner, else the host, else the lowest valid node."""
         if handle.owner is not None:
             return handle.owner
-        if MEM_HOST in handle.valid_nodes:
+        valid = handle.valid_mask
+        if valid & 1:
             return MEM_HOST
-        return min(handle.valid_nodes)
+        return (valid & -valid).bit_length() - 1
 
     def acquire(
         self,
@@ -328,32 +362,44 @@ class DataManager:
         """Stage all data for a task on ``target``; returns the absolute time
         at which every required replica is valid there (>= ``now``)."""
         ready = now
-        mgr = self.managers[target] if target != MEM_HOST else None
+        tbit = 1 << target
         arrivals = self._arrival
+        if target != MEM_HOST:
+            mgr = self.managers[target]
+            resident = mgr._resident
+            pinned = mgr._pinned
+        else:
+            mgr = None
         for handle, mode in handles:
             handle.check_invariants()
             if mgr is not None:
-                for victim in mgr.add(handle):
-                    self._evict(victim, target, label)
-                mgr.pin(handle)
-            if mode.reads and target not in handle.valid_nodes:
-                fetched = self._fetch(handle, target, label, now)
-                if fetched > ready:
-                    ready = fetched
-            elif target in handle.valid_nodes:
+                # MemoryManager.add + pin, inlined.  A resident handle only
+                # moves to the LRU tail, which is also the whole effect of a
+                # touch on a replica that is already valid here.
+                if handle in resident:
+                    resident.move_to_end(handle)
+                else:
+                    for victim in mgr.add(handle):
+                        self._evict(victim, target, label)
+                count = pinned.get(handle, 0)
+                if not count:
+                    mgr.pinned_bytes += handle.nbytes
+                pinned[handle] = count + 1
+            if handle.valid_mask & tbit:
                 # Possibly still in flight from a prefetch.
-                arrival = arrivals.get((handle.hid, target))
+                arrival = arrivals.get((handle, target))
                 if arrival is not None:
                     if arrival > now:
                         if arrival > ready:
                             ready = arrival
                     else:
-                        del arrivals[(handle.hid, target)]
-                if mgr is not None:
-                    mgr.touch(handle)
-            if mode == AccessMode.W and target not in handle.valid_nodes:
-                # Write-only: no fetch, the replica materialises on write.
-                pass
+                        del arrivals[(handle, target)]
+            elif mode.reads:
+                fetched = self._fetch(handle, target, label, now)
+                if fetched > ready:
+                    ready = fetched
+            # A write-only access to a node without a replica fetches
+            # nothing: the replica materialises on write.
         return ready
 
     def prefetch(
@@ -369,8 +415,9 @@ class DataManager:
         still be evicted before use, in which case :meth:`acquire` simply
         fetches again.
         """
+        tbit = 1 << target
         for handle, mode in handles:
-            if not mode.reads or target in handle.valid_nodes:
+            if not mode.reads or handle.valid_mask & tbit:
                 continue
             if target != MEM_HOST:
                 mgr = self.managers[target]
@@ -383,23 +430,24 @@ class DataManager:
     def _fetch(self, handle: DataHandle, target: int, label: str, now: float = 0.0) -> float:
         source = self._pick_source(handle)
         end = 0.0
-        if source != MEM_HOST and MEM_HOST not in handle.valid_nodes:
+        valid = handle.valid_mask
+        if source != MEM_HOST and not valid & 1:
             # Relay through the host (no direct GPU-GPU path modelled).
-            link = self.node.link_of_mem_node(source)
+            link = self._links[source]
             _, end = link.reserve(handle.nbytes, "d2h", label or handle.label, not_before=now)
-            handle.valid_nodes.add(MEM_HOST)
+            valid |= 1
             handle.owner = None
             self._account(handle.nbytes)
         if target != MEM_HOST:
-            link = self.node.link_of_mem_node(target)
+            link = self._links[target]
             _, end2 = link.reserve(
                 handle.nbytes, "h2d", label or handle.label, not_before=max(now, end)
             )
             end = max(end, end2)
             self._account(handle.nbytes)
-        handle.valid_nodes.add(target)
+        handle.valid_mask = valid | 1 << target
         if end > 0.0:
-            self._arrival[(handle.hid, target)] = end
+            self._arrival[(handle, target)] = end
         if handle.owner is not None and handle.owner != target:
             handle.owner = None  # replica shared now; no longer exclusively dirty
         return end
@@ -407,14 +455,14 @@ class DataManager:
     def _evict(self, victim: DataHandle, node_id: int, label: str) -> None:
         if victim.owner == node_id:
             # Dirty owner: write back to host before dropping.
-            link = self.node.link_of_mem_node(node_id)
+            link = self._links[node_id]
             link.reserve(victim.nbytes, "d2h", f"wb:{victim.label or label}")
             self._account(victim.nbytes)
             victim.owner = None
-            victim.valid_nodes = {MEM_HOST}
+            victim.valid_mask = 1 << MEM_HOST
         else:
-            victim.valid_nodes.discard(node_id)
-            if not victim.valid_nodes:
+            victim.valid_mask &= ~(1 << node_id)
+            if not victim.valid_mask:
                 raise CoherenceError(f"evicted sole replica of {victim}")
 
     def release(
@@ -423,19 +471,34 @@ class DataManager:
         target: int,
     ) -> None:
         """Apply write effects after the task ran on ``target`` and unpin."""
-        mgr = self.managers[target] if target != MEM_HOST else None
+        tbit = 1 << target
+        owner = target if target != MEM_HOST else None
+        if target != MEM_HOST:
+            mgr = self.managers[target]
+            pinned = mgr._pinned
+        else:
+            mgr = None
         for handle, mode in handles:
             if mode.writes:
                 # Invalidate all other replicas; target becomes owner.
-                valid = handle.valid_nodes
-                if len(valid) != 1 or target not in valid:
-                    for other in list(valid):
-                        if other != target and other != MEM_HOST:
-                            self.managers[other].remove(handle)
-                    handle.valid_nodes = {target}
-                handle.owner = target if target != MEM_HOST else None
+                others = handle.valid_mask & ~tbit
+                if others:
+                    others >>= 1  # the host copy is dropped, not evicted
+                    node_id = 1
+                    while others:
+                        if others & 1:
+                            self.managers[node_id].remove(handle)
+                        others >>= 1
+                        node_id += 1
+                handle.valid_mask = tbit
+                handle.owner = owner
             if mgr is not None:
-                mgr.unpin(handle)
+                # MemoryManager.unpin, inlined.
+                count = pinned.pop(handle, 0)
+                if count > 1:
+                    pinned[handle] = count - 1
+                elif count:
+                    mgr.pinned_bytes -= handle.nbytes
             handle.check_invariants()
 
     def abandon(
@@ -460,11 +523,11 @@ class DataManager:
         for handle in handles:
             if handle.owner is not None:
                 node_id = handle.owner
-                link = self.node.link_of_mem_node(node_id)
+                link = self._links[node_id]
                 link.reserve(handle.nbytes, "d2h", f"flush:{handle.label}")
                 self._account(handle.nbytes)
                 handle.owner = None
-                handle.valid_nodes.add(MEM_HOST)
+                handle.valid_mask |= 1 << MEM_HOST
 
     def _account(self, nbytes: int) -> None:
         self.bytes_transferred += nbytes

@@ -30,7 +30,7 @@ from repro.obs.decisions import DecisionLog
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.data import DataManager
 from repro.runtime.graph import Task, TaskGraph, TaskState
-from repro.runtime.perfmodel import HistoryModel, PerfModelSet, model_key
+from repro.runtime.perfmodel import HistoryModel, PerfModelSet
 from repro.runtime.schedulers import make_scheduler
 from repro.runtime.worker import (
     GPUWorker,
@@ -107,7 +107,6 @@ class RuntimeSystem:
         ewma_alpha: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         decision_log: Optional[DecisionLog] = None,
-        macro_tasks: bool = False,
     ) -> None:
         if not isinstance(node.clock, Simulator):
             raise RuntimeError_("node must be built on a Simulator clock")
@@ -126,15 +125,6 @@ class RuntimeSystem:
         # Observability (off by default: both None keeps hot paths clean).
         self.metrics = metrics
         self.decision_log = decision_log
-        #: Opt-in macro-task mode: a task whose inputs are already resident
-        #: (zero staging delay) starts executing inside the event that freed
-        #: its worker, fusing same-worker no-new-transfer task chains into
-        #: one engine event per link instead of two.  This reorders event
-        #: delivery relative to the reference schedule, so it is OFF by
-        #: default and excluded from the bit-identity bar (decision replay /
-        #: fig3 byte-compare run with it disabled).  Ignored while a fault
-        #: injector is attached (recovery needs cancellable staging events).
-        self.macro_tasks = macro_tasks
         # Pre-drawn execution-noise samples.  Block draws from a numpy
         # Generator are bit-identical to the same number of scalar draws,
         # and the buffer survives across run() calls, so consumption order
@@ -167,7 +157,7 @@ class RuntimeSystem:
             seen_arch: dict[str, WorkerType] = {}
             for w in self.workers:
                 seen_arch.setdefault(w.arch, w)
-            distinct = {model_key(t.op): t.op for t in graph.tasks}
+            distinct = {t.op.key: t.op for t in graph.tasks}
             for op in distinct.values():
                 for arch, w in seen_arch.items():
                     if not w.can_run(op):
@@ -260,10 +250,8 @@ class RuntimeSystem:
         if self.faults is not None:
             self.faults.on_run_start(self._scheduler, graph)
         # With no fault injector attached nothing ever cancels engine
-        # events, so the engine's no-handle fast path is safe; macro-task
-        # fusion additionally requires it (an inlined start has no event).
+        # events, so the engine's no-handle fast path is safe.
         self._no_faults = self.faults is None
-        self._macro_inline = self.macro_tasks and self._no_faults
         self._remaining = len(graph.tasks)
         for w in self.workers:
             w.busy = False
@@ -369,7 +357,7 @@ class RuntimeSystem:
             return 0
         self.perf.invalidate_arch(arch)
         rng = self.rng.stream("calibration")
-        distinct = {model_key(t.op): t.op for t in self._graph.tasks}
+        distinct = {t.op.key: t.op for t in self._graph.tasks}
         reseeded = 0
         for op in distinct.values():
             if not sample.can_run(op):
@@ -517,13 +505,7 @@ class RuntimeSystem:
         now = self.sim.now
         start = ready if ready > now else now
         if self._no_faults:
-            if self._macro_inline and start <= now:
-                # Macro-task fusion: inputs are resident, so the kernel
-                # starts inside the event that freed the worker — no
-                # intermediate engine event for this chain link.
-                self._start_exec(task, worker)
-            else:
-                self.sim.post_at(start, self._start_exec, task, worker)
+            self.sim.post_at(start, self._start_exec, task, worker)
         else:
             handle = self.sim.schedule_at(start, self._start_exec, task, worker)
             self.faults.on_task_staging(task, worker, handle)

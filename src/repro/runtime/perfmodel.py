@@ -28,9 +28,8 @@ ModelKey = tuple[str, int, str]  # (kind, nb, precision)
 
 
 def model_key(op: TileOp) -> ModelKey:
-    # TileOp precomputes its identity tuple; fall back for op-like stubs.
-    key = getattr(op, "key", None)
-    return key if key is not None else (op.kind, op.nb, op.precision)
+    """The modelling key of an op (``TileOp`` precomputes it as ``op.key``)."""
+    return op.key
 
 
 @dataclass
@@ -160,12 +159,12 @@ class PerfModelSet:
     n_cache_misses: int = 0
 
     def record(self, op: TileOp, arch: str, duration: float) -> None:
-        key = model_key(op)
+        key = op.key
         self.history.record(key, arch, duration)
         self._cache.pop((key, arch), None)
 
     def estimate(self, op: TileOp, arch: str) -> float:
-        key = model_key(op)
+        key = op.key
         cached = self._cache.get((key, arch))
         if cached is not None:
             self.n_cache_hits += 1
