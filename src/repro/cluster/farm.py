@@ -9,12 +9,47 @@ evaluated analytically — the same abstraction cluster-level power managers
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from repro.hardware.catalog import gpu_spec
 from repro.hardware.gpu import GPUDevice
+from repro.hardware.specs import GPUSpec
 from repro.kernels.gemm import GemmKernel
 from repro.sim import Simulator
+
+#: ``(model, kernel)`` curves the shared memo holds before starting over.
+CURVE_MEMO_SIZE = 64
+#: Cap points one curve holds before starting over (quantized allocators
+#: and ladder scans touch a few hundred per curve).
+CURVE_MEMO_POINTS = 4096
+
+# (model, kernel) -> (spec, {cap_w: (gflops, watts)}).  The curve points are
+# pure functions of (spec, kernel, cap), so every FarmGPU of one model
+# running one kernel shares one curve: identical devices, later workload
+# phases, later scenarios and the planner's ladder scans reuse it.  A stored
+# point never changes, so nothing needs invalidating; the entry holds its
+# spec so a replaced catalog spec can never alias a stale curve.
+_CURVES: dict[tuple[str, GemmKernel], tuple[GPUSpec, dict]] = {}
+_CURVES_LOCK = threading.Lock()
+
+
+def _shared_curve(spec: GPUSpec, kernel: GemmKernel) -> dict:
+    """The shared per-cap memo of one (GPU spec, kernel) curve.
+
+    Thread-safe: the registry is only modified under a lock, and a curve's
+    points are pure values, so concurrent writers store identical entries.
+    """
+    key = (spec.model, kernel)
+    entry = _CURVES.get(key)
+    if entry is None or entry[0] is not spec:
+        with _CURVES_LOCK:
+            entry = _CURVES.get(key)
+            if entry is None or entry[0] is not spec:
+                if len(_CURVES) >= CURVE_MEMO_SIZE:
+                    _CURVES.clear()  # ad-hoc kernels must not pile up
+                entry = _CURVES[key] = (spec, {})
+    return entry[1]
 
 
 @dataclass
@@ -24,14 +59,15 @@ class FarmGPU:
     model: str
     kernel: GemmKernel
     device: GPUDevice = field(init=False)
-    # Per-cap memo: the analytic curves are pure functions of the cap, and
+    # Per-cap memo shared with every FarmGPU of the same (model, kernel):
     # iterative allocators (water-filling, the online governor's tick loop)
     # re-evaluate the same quantized caps thousands of times.
-    _memo: dict = field(init=False, repr=False, default_factory=dict)
+    _curve: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         spec = gpu_spec(self.model)
         self.device = GPUDevice(spec, 0, Simulator())
+        self._curve = _shared_curve(spec, self.kernel)
 
     @property
     def cap_range(self) -> tuple[float, float]:
@@ -39,14 +75,17 @@ class FarmGPU:
         return spec.cap_min_w, spec.cap_max_w
 
     def _at(self, cap_w: float) -> tuple[float, float]:
-        entry = self._memo.get(cap_w)
+        curve = self._curve
+        entry = curve.get(cap_w)
         if entry is None:
             self.device.set_power_limit(cap_w)
             entry = (
                 self.kernel.gflops_on_gpu(self.device),
                 self.kernel.power_on_gpu(self.device),
             )
-            self._memo[cap_w] = entry
+            if len(curve) >= CURVE_MEMO_POINTS:
+                curve.clear()
+            curve[cap_w] = entry
         return entry
 
     def throughput(self, cap_w: float) -> float:

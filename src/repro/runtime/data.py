@@ -160,16 +160,23 @@ class MemoryManager:
                 f"capacity {self.capacity_bytes} B"
             )
         evicted: list[DataHandle] = []
-        while self.used_bytes + handle.nbytes > self.capacity_bytes:
-            victim = self._next_victim()
-            if victim is None:
+        if self.used_bytes + handle.nbytes > self.capacity_bytes:
+            # Refuse before evicting anything: a victim removed here and then
+            # dropped by the raise would never reach the caller's write-back.
+            pinned = self._pinned
+            held = sum(n for h, n in self._resident.items() if h in pinned)
+            if held + handle.nbytes > self.capacity_bytes:
                 raise CoherenceError(
                     f"node {self.node_id}: cannot evict enough memory "
-                    f"({self.used_bytes}/{self.capacity_bytes} B used, all pinned)"
+                    f"({self.used_bytes}/{self.capacity_bytes} B used, "
+                    f"{held} B pinned)"
                 )
-            self.remove(victim)
-            evicted.append(victim)
-            self.n_evictions += 1
+            while self.used_bytes + handle.nbytes > self.capacity_bytes:
+                victim = self._next_victim()
+                assert victim is not None  # unpinned room checked above
+                self.remove(victim)
+                evicted.append(victim)
+                self.n_evictions += 1
         self._resident[handle] = handle.nbytes
         self.used_bytes += handle.nbytes
         return evicted

@@ -91,6 +91,22 @@ class RunResult:
         )
 
 
+class _LazySeries(dict):
+    """Metric series by label value: resolved through the registry on first
+    use (so series register in the same order as per-call lookups would)
+    and reused after, sparing the registry's label-key sort per task."""
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, key):
+        series = self[key] = self._resolve(key)
+        return series
+
+
 class RuntimeSystem:
     """One runtime instance bound to a node (a StarPU process)."""
 
@@ -125,6 +141,9 @@ class RuntimeSystem:
         # Observability (off by default: both None keeps hot paths clean).
         self.metrics = metrics
         self.decision_log = decision_log
+        # Per-task metric series of ``_series_registry`` (see _bind_series);
+        # rebound whenever ``metrics`` is reassigned.
+        self._series_registry: Optional[MetricsRegistry] = None
         # Pre-drawn execution-noise samples.  Block draws from a numpy
         # Generator are bit-identical to the same number of scalar draws,
         # and the buffer survives across run() calls, so consumption order
@@ -471,6 +490,31 @@ class RuntimeSystem:
         if self.bus is not None:
             m.publish_to(self.bus)
 
+    def _bind_series(self, metrics: MetricsRegistry) -> None:
+        """Resolve the four per-task series against ``metrics``, lazily per
+        arch, kind or worker; a reassigned registry gets fresh lookups."""
+        self._series_registry = metrics
+        self._queue_wait = _LazySeries(lambda arch: metrics.histogram(
+            "repro_queue_wait_seconds",
+            "Simulated time from task-ready to worker pop.",
+            labels={"arch": arch},
+        ))
+        self._stage_wait = _LazySeries(lambda arch: metrics.histogram(
+            "repro_stage_wait_seconds",
+            "Simulated transfer delay staging a task's inputs.",
+            labels={"arch": arch},
+        ))
+        self._task_duration = _LazySeries(lambda key: metrics.histogram(
+            "repro_task_duration_seconds",
+            "Simulated kernel execution time.",
+            labels={"kind": key[0], "arch": key[1]},
+        ))
+        self._tasks_total = _LazySeries(lambda name: metrics.counter(
+            "repro_tasks_total",
+            "Tasks completed, by executing worker.",
+            labels={"worker": name},
+        ))
+
     def _try_start(self, worker: WorkerType) -> None:
         task = self._scheduler.pop(worker, self.sim.now)
         if task is None:
@@ -486,19 +530,15 @@ class RuntimeSystem:
         self._scheduler.task_started(task, worker, self.sim.now)
         metrics = self.metrics
         if metrics is not None:
-            metrics.histogram(
-                "repro_queue_wait_seconds",
-                "Simulated time from task-ready to worker pop.",
-                labels={"arch": worker.arch},
-            ).observe(self.sim.now - self._ready_at.pop(task.tid, self.sim.now))
+            if metrics is not self._series_registry:
+                self._bind_series(metrics)
+            self._queue_wait[worker.arch].observe(
+                self.sim.now - self._ready_at.pop(task.tid, self.sim.now)
+            )
         target = worker.mem_node
         ready = self.data.acquire(task.accesses, target, self.sim.now, task.label)
         if metrics is not None:
-            metrics.histogram(
-                "repro_stage_wait_seconds",
-                "Simulated transfer delay staging a task's inputs.",
-                labels={"arch": worker.arch},
-            ).observe(max(0.0, ready - self.sim.now))
+            self._stage_wait[worker.arch].observe(max(0.0, ready - self.sim.now))
         if worker.is_gpu:
             # The driver core busy-waits through staging and execution.
             worker.driver_package.begin_core()
@@ -567,16 +607,10 @@ class RuntimeSystem:
             self.faults.on_task_finished(task, worker, duration)
         metrics = self.metrics
         if metrics is not None:
-            metrics.histogram(
-                "repro_task_duration_seconds",
-                "Simulated kernel execution time.",
-                labels={"kind": task.op.kind, "arch": worker.arch},
-            ).observe(duration)
-            metrics.counter(
-                "repro_tasks_total",
-                "Tasks completed, by executing worker.",
-                labels={"worker": worker.name},
-            ).inc()
+            if metrics is not self._series_registry:
+                self._bind_series(metrics)
+            self._task_duration[task.op.kind, worker.arch].observe(duration)
+            self._tasks_total[worker.name].inc()
         bus = self.bus
         if bus is not None:
             # Streams the same interval shape the post-hoc exporter emits

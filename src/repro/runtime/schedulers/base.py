@@ -93,7 +93,9 @@ class Scheduler(ABC):
         ``_placement_classes`` is the member list; ``_placement_classes_np``
         pairs each class with a numpy index array into the policy's
         worker-position-indexed state (e.g. the dm backlog array), so member
-        costs can be computed as one vectorized expression."""
+        costs can be computed as one vectorized expression, and with the
+        class's decision-log metadata ``(label, worker names, indices)``,
+        which only changes here (on construction, exclude and readmit)."""
         self._placement_classes = self._build_placement_classes()
         self._placement_classes_np = []
         for members in self._placement_classes:
@@ -110,7 +112,14 @@ class Scheduler(ABC):
             # Reusable output buffer for the vectorized cost fold (avoids a
             # fresh allocation per class per decision).
             buf = np.empty(len(members)) if len(members) > 1 else None
-            self._placement_classes_np.append((members, indices, contiguous, buf))
+            meta = (
+                self.placement_class_label(members[0][1]),
+                tuple(w.name for _, w in members),
+                tuple(i for i, _ in members),
+            )
+            self._placement_classes_np.append(
+                (members, indices, contiguous, buf, meta)
+            )
         #: Distinct memory nodes across the placement classes, in class
         #: order — the targets a data-aware policy must price per decision.
         seen: dict = {}

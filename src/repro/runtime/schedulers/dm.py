@@ -136,7 +136,7 @@ class DMScheduler(Scheduler):
             data._estimate_memo = {}
         self._prepare_decision(task, now)
         try:
-            for members, indices, view, buf in self._placement_classes_np:
+            for members, indices, view, buf, meta in self._placement_classes_np:
                 w0 = members[0][1]
                 if w0.is_gpu and not runs_on_gpu:
                     continue
@@ -182,9 +182,9 @@ class DMScheduler(Scheduler):
                         class_backlogs = tuple(seg.tolist())
                 if candidates is not None:
                     candidates.append(CandidateClass(
-                        class_key=self.placement_class_label(w0),
-                        workers=tuple(w.name for _, w in members),
-                        indices=tuple(i for i, _ in members),
+                        class_key=meta[0],
+                        workers=meta[1],
+                        indices=meta[2],
                         backlogs=class_backlogs,
                         terms=tuple(terms),
                         costs=tuple(costs_list),

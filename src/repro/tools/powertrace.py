@@ -43,9 +43,18 @@ class PowerSampler:
     #: Optional live-telemetry bus; each non-blackout sample also publishes
     #: a ``power`` event so dashboards see the timeline during the run.
     bus: Optional[object] = None
+    #: ``(device name, NVML handle)`` per GPU, resolved once by
+    #: :meth:`start` rather than on every tick.
+    _gpu_handles: list = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def start(self) -> None:
         nvml.nvmlInit(self.node)
+        self._gpu_handles = [
+            (f"gpu{i}", nvml.nvmlDeviceGetHandleByIndex(i))
+            for i in range(len(self.node.gpus))
+        ]
         self.runtime.sim.schedule(0.0, self._tick)
 
     def _in_blackout(self, now: float) -> bool:
@@ -61,9 +70,8 @@ class PowerSampler:
                 # RAPL exposes energy, not power; a daemon differentiates.
                 # The model's instantaneous value is equivalent and cheaper.
                 reading[cpu.name] = cpu.power_w
-            for i in range(len(self.node.gpus)):
-                handle = nvml.nvmlDeviceGetHandleByIndex(i)
-                reading[f"gpu{i}"] = nvml.nvmlDeviceGetPowerUsage(handle) / 1000.0
+            for name, handle in self._gpu_handles:
+                reading[name] = nvml.nvmlDeviceGetPowerUsage(handle) / 1000.0
             sample = PowerSample(now, reading)
             self.samples.append(sample)
             if self.bus is not None:

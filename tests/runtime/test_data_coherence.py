@@ -207,3 +207,22 @@ def test_eviction_of_dirty_tile_writes_back(node):
     assert dm.n_transfers == before + 1  # h1 written back
     assert h1.owner is None and h1.valid_nodes == {0}
     assert dm.managers[1].n_evictions == 1
+
+
+def test_refused_add_evicts_nothing(node):
+    """A pinned-full node refuses before evicting: the dirty victim that
+    could not make enough room keeps its replica and its write-back."""
+    dm = DataManager(node)
+    dm.managers[1] = MemoryManager(1, capacity_bytes=300)
+    a, b, c = DataHandle(100, "a"), DataHandle(100, "b"), DataHandle(100, "c")
+    dm.acquire([(c, AccessMode.RW)], target=1, now=0.0)
+    dm.release([(c, AccessMode.RW)], target=1)
+    dm.acquire([(a, AccessMode.R), (b, AccessMode.R)], target=1, now=0.0)
+    with pytest.raises(CoherenceError):
+        dm.acquire([(DataHandle(200, "d"), AccessMode.R)], target=1, now=0.0)
+    mgr = dm.managers[1]
+    assert mgr.resident(c)
+    assert c.owner == 1 and c.valid_nodes == {1}
+    c.check_invariants()
+    assert mgr.used_bytes == 300
+    assert mgr.n_evictions == 0
